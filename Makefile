@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check check-sharded test bench bench-quick bench-diff bench-gate gate fmt vet race fuzz-smoke cover
+.PHONY: check check-sharded test bench bench-quick bench-diff bench-gate gate fmt vet race fuzz-smoke fuzz cover
 
 ## check: the pre-commit gate — vet, formatting, and the race-enabled
 ## tests of the engine, instrumentation, and parallel-runner layers
@@ -29,6 +29,17 @@ check: vet
 fuzz-smoke:
 	XPSIM_FUZZ_SEEDS=$${XPSIM_FUZZ_SEEDS:-8} go test -race -count=1 -run TestFuzzSmoke ./internal/scenario/
 	@echo "fuzz-smoke: OK"
+
+## fuzz: time-boxed native fuzzing (15s per target) of the trace and
+## metrics line encoders: FuzzJSONLRecord and FuzzCSVRecord check
+## byte-identity with the reference encoders and read-back through
+## encoding/json and encoding/csv. Every `go test` run already replays
+## the committed seed corpus in internal/obs/testdata/fuzz; a failing
+## input found here is written there too, as a regression seed.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzJSONLRecord$$' -fuzztime 15s ./internal/obs/
+	go test -run '^$$' -fuzz '^FuzzCSVRecord$$' -fuzztime 15s ./internal/obs/
+	@echo "fuzz: OK"
 
 ## cover: per-package statement coverage, with per-package enforced
 ## floors. The baseline congestion-control packages sit at 97: their

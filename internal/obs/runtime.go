@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -54,9 +53,7 @@ type Runtime struct {
 	engines []*sim.Engine
 	seen    map[*sim.Engine]struct{}
 	scopes  int
-	mw      *bufio.Writer
-	header  bool
-	scratch [64]byte
+	mw      *lineWriter // metrics CSV; nil when metrics are off
 
 	// Totals folded in from flushed runner trials (Trial.Flush). Trial
 	// engines never enter the engines list — they are read once, after
@@ -96,7 +93,8 @@ func NewRuntime(cfg Config) *Runtime {
 		started: time.Now(),
 	}
 	if cfg.MetricsOut != nil {
-		rt.mw = bufio.NewWriterSize(cfg.MetricsOut, 1<<16)
+		mw := newLineWriter(cfg.MetricsOut, "t_us,scope,metric,value\n")
+		rt.mw = &mw
 	}
 	return rt
 }
@@ -278,27 +276,24 @@ func (rt *Runtime) Resources() (Resources, float64) {
 	return res, rate
 }
 
-// WriteRow appends one metrics sample to the CSV. No-op when metrics
-// are disabled.
+// WriteRow appends one metrics sample to the CSV, in the number format
+// of the trace sinks; scope and metric are quoted per RFC 4180 when
+// they hold a comma, quote or line break. No-op when metrics are
+// disabled.
 func (rt *Runtime) WriteRow(t sim.Time, scope, metric string, v float64) {
 	if rt.mw == nil {
 		return
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if !rt.header {
-		rt.header = true
-		rt.mw.WriteString("t_us,scope,metric,value\n")
-	}
-	b := rt.mw
-	b.Write(strconv.AppendFloat(rt.scratch[:0], t.Micros(), 'g', -1, 64))
-	b.WriteByte(',')
-	b.WriteString(scope)
-	b.WriteByte(',')
-	b.WriteString(metric)
-	b.WriteByte(',')
-	b.Write(strconv.AppendFloat(rt.scratch[:0], v, 'g', -1, 64))
-	b.WriteByte('\n')
+	b := appendMicros(rt.mw.line(), t)
+	b = append(b, ',')
+	b = appendCSVField(b, scope)
+	b = append(b, ',')
+	b = appendCSVField(b, metric)
+	b = append(b, ',')
+	b = appendNum(b, v)
+	rt.mw.write(append(b, '\n'))
 }
 
 // Close flushes the metrics CSV and closes the tracer's sink. Call it
@@ -307,12 +302,7 @@ func (rt *Runtime) Close() error {
 	var err error
 	rt.mu.Lock()
 	if rt.mw != nil {
-		err = rt.mw.Flush()
-		if c, ok := rt.cfg.MetricsOut.(io.Closer); ok {
-			if cerr := c.Close(); err == nil {
-				err = cerr
-			}
-		}
+		err = rt.mw.Close()
 	}
 	rt.mu.Unlock()
 	if rt.cfg.Tracer != nil {
